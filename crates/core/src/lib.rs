@@ -10,12 +10,12 @@
 //! * [`serial::SerialSim`] — both panels in one address space; overset
 //!   coupling by direct interpolation. The reference implementation that
 //!   the parallel driver is tested against (bitwise).
-//! * [`parallel::run_parallel`] — the paper's parallelization: the world
-//!   communicator is split into Yin/Yang panel groups
-//!   (`MPI_COMM_SPLIT`), each panel decomposed over a 2-D (θ, φ) process
-//!   grid (`MPI_CART_CREATE`), nearest-neighbour halo exchange inside a
-//!   panel, and overset interpolation traffic between panels under the
-//!   world communicator.
+//! * [`parallel::run_parallel_supervised`] — the paper's parallelization,
+//!   run under the fault-tolerant supervisor: the world communicator is
+//!   split into Yin/Yang panel groups (`MPI_COMM_SPLIT`), each panel
+//!   decomposed over a 2-D (θ, φ) process grid (`MPI_CART_CREATE`),
+//!   nearest-neighbour halo exchange inside a panel, and overset
+//!   interpolation traffic between panels under the world communicator.
 //!
 //! Both drivers advance the state with classical RK4, performing exactly
 //! one boundary synchronisation (halo + overset + physical walls) per
@@ -54,8 +54,8 @@ pub use health::{HealthGuard, HealthLimits, HealthViolation};
 pub use obs::{ObsOpts, TraceMode};
 pub use output::{merge_shards, CkptCodec, IoTotals, OutputStage};
 pub use parallel::{
-    run_parallel, run_parallel_supervised, run_parallel_with_mode, FailurePolicy, ParallelReport,
-    PassStat, RecoveryEvent, RecoveryOpts, SupervisedReport, SyncMode, WeightsMode,
+    run_parallel_supervised, FailurePolicy, PassStat, RecoveryEvent, RecoveryOpts,
+    SupervisedReport, WeightsMode,
 };
 pub use telemetry::{DtInject, ScienceTelemetry};
 pub use weights::ColumnCosts;

@@ -15,8 +15,8 @@
 //!    decomposition.)
 
 use yy_obs::counters::kernel;
-use yycore::parallel::run_parallel_with_mode;
-use yycore::{RunConfig, SerialSim, SyncMode};
+use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
+use yycore::{RunConfig, SerialSim};
 
 fn quick_cfg() -> RunConfig {
     let mut cfg = RunConfig::small();
@@ -52,8 +52,11 @@ fn per_kernel_totals_are_decomposition_invariant() {
     let cfg = quick_cfg();
     let mut sim = SerialSim::new(cfg.clone());
     let serial = sim.run(STEPS, 0);
-    let p12 = run_parallel_with_mode(&cfg, 1, 2, STEPS, 0, false, SyncMode::Overlapped);
-    let p22 = run_parallel_with_mode(&cfg, 2, 2, STEPS, 0, false, SyncMode::Overlapped);
+    let run = |pth, pph| {
+        run_parallel_supervised(&cfg, pth, pph, STEPS, 0, &RecoveryOpts::default())
+            .expect("supervised run completes")
+    };
+    let (p12, p22) = (run(1, 2), run(2, 2));
 
     for (tag, par) in [("1x2", &p12.report), ("2x2", &p22.report)] {
         // The parallel conservation law holds per decomposition too.

@@ -6,13 +6,20 @@ use std::time::Duration;
 use yy_mhd::State;
 use yy_parcomm::FaultSpec;
 use yycore::checkpoint::Checkpoint;
-use yycore::parallel::{run_parallel, run_parallel_supervised, FailurePolicy, RecoveryOpts};
+use yycore::parallel::{run_parallel_supervised, FailurePolicy, RecoveryOpts};
 use yycore::{HealthLimits, RunConfig, SerialSim};
 
 fn quick_cfg() -> RunConfig {
     let mut cfg = RunConfig::small();
     cfg.init.perturb_amplitude = 1e-2;
     cfg
+}
+
+/// The fault-free run's final checkpoint.
+fn clean_run(cfg: &RunConfig, steps: u64) -> Checkpoint {
+    run_parallel_supervised(cfg, 1, 2, steps, 0, &RecoveryOpts::default())
+        .expect("fault-free run completes")
+        .final_checkpoint
 }
 
 /// Compare the owned (non-ghost) region of two panel states bitwise.
@@ -43,7 +50,7 @@ fn assert_owned_equal(cfg: &RunConfig, a: &State, b: &State, what: &str) {
 #[test]
 fn injected_kill_recovers_bit_exact() {
     let cfg = quick_cfg();
-    let baseline = run_parallel(&cfg, 1, 2, 6, 0, true);
+    let baseline = clean_run(&cfg, 6);
     let opts = RecoveryOpts {
         fault: FaultSpec::seeded(42)
             .with_drop(0.05)
@@ -63,8 +70,8 @@ fn injected_kill_recovers_bit_exact() {
     assert!(sup.recoveries[0].resume_step >= 2, "a periodic checkpoint existed before the kill");
     assert_eq!(sup.dt_scale, 1.0, "no health violation, so no dt reduction");
     assert_eq!(sup.final_checkpoint.step, 6);
-    assert_owned_equal(&cfg, &sup.final_checkpoint.yin, &baseline.yin.as_ref().unwrap(), "yin");
-    assert_owned_equal(&cfg, &sup.final_checkpoint.yang, &baseline.yang.as_ref().unwrap(), "yang");
+    assert_owned_equal(&cfg, &sup.final_checkpoint.yin, &baseline.yin, "yin");
+    assert_owned_equal(&cfg, &sup.final_checkpoint.yang, &baseline.yang, "yang");
 }
 
 /// Heavy drop/delay/duplicate rates (no kill) complete via bounded
@@ -72,7 +79,7 @@ fn injected_kill_recovers_bit_exact() {
 #[test]
 fn message_faults_complete_without_hang() {
     let cfg = quick_cfg();
-    let baseline = run_parallel(&cfg, 1, 2, 4, 0, true);
+    let baseline = clean_run(&cfg, 4);
     let opts = RecoveryOpts {
         fault: FaultSpec::seeded(7)
             .with_drop(0.25)
@@ -84,8 +91,8 @@ fn message_faults_complete_without_hang() {
     };
     let sup = run_parallel_supervised(&cfg, 1, 2, 4, 0, &opts).expect("faulty run completes");
     assert!(sup.recoveries.is_empty(), "message faults alone must not need recovery");
-    assert_owned_equal(&cfg, &sup.final_checkpoint.yin, &baseline.yin.as_ref().unwrap(), "yin");
-    assert_owned_equal(&cfg, &sup.final_checkpoint.yang, &baseline.yang.as_ref().unwrap(), "yang");
+    assert_owned_equal(&cfg, &sup.final_checkpoint.yin, &baseline.yin, "yin");
+    assert_owned_equal(&cfg, &sup.final_checkpoint.yang, &baseline.yang, "yang");
 }
 
 /// The overlapped exchange posts sends early and computes deep-interior

@@ -15,7 +15,7 @@ use std::time::Duration;
 use yy_mhd::State;
 use yy_parcomm::FaultSpec;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
-use yycore::{run_parallel_with_mode, RunConfig, SerialSim, SyncMode};
+use yycore::{RunConfig, SerialSim};
 
 fn cfg(reference: bool) -> RunConfig {
     let mut cfg = RunConfig::small();
@@ -62,26 +62,21 @@ fn serial_fused_matches_reference_bitwise() {
     }
 }
 
-/// Parallel trajectories at 1×1, 1×2 and 2×2 tiles per panel, both sync
-/// modes: the gathered panels of a fused run ≡ a reference run.
+/// Parallel trajectories at 1×1, 1×2 and 2×2 tiles per panel: the
+/// final panels of a fused run ≡ a reference run.
 #[test]
 fn parallel_fused_matches_reference_across_layouts() {
+    let run = |reference: bool, pth: usize, pph: usize| {
+        run_parallel_supervised(&cfg(reference), pth, pph, STEPS, 0, &RecoveryOpts::default())
+            .expect("supervised run completes")
+            .final_checkpoint
+    };
     for (pth, pph) in [(1, 1), (1, 2), (2, 2)] {
-        for mode in [SyncMode::Overlapped, SyncMode::Blocking] {
-            let fused = run_parallel_with_mode(&cfg(false), pth, pph, STEPS, 0, true, mode);
-            let refr = run_parallel_with_mode(&cfg(true), pth, pph, STEPS, 0, true, mode);
-            let tag = format!("{pth}x{pph} {mode:?}");
-            assert_states_bit_identical(
-                &format!("{tag} yin"),
-                fused.yin.as_ref().unwrap(),
-                refr.yin.as_ref().unwrap(),
-            );
-            assert_states_bit_identical(
-                &format!("{tag} yang"),
-                fused.yang.as_ref().unwrap(),
-                refr.yang.as_ref().unwrap(),
-            );
-        }
+        let fused = run(false, pth, pph);
+        let refr = run(true, pth, pph);
+        let tag = format!("{pth}x{pph}");
+        assert_states_bit_identical(&format!("{tag} yin"), &fused.yin, &refr.yin);
+        assert_states_bit_identical(&format!("{tag} yang"), &fused.yang, &refr.yang);
     }
 }
 
@@ -101,7 +96,6 @@ fn delayed_messages_do_not_break_kernel_exactness() {
                 .with_data_floor(1024),
             checkpoint_every: 0,
             deadline: Duration::from_secs(60),
-            sync_mode: SyncMode::Overlapped,
             ..RecoveryOpts::default()
         };
         run_parallel_supervised(&cfg(reference), 1, 2, STEPS, 0, &opts)

@@ -11,7 +11,7 @@
 //! halos move between nearest neighbours, and overset interpolation data
 //! crosses between the panels under the world communicator.
 
-use yycore::{run_parallel, RunConfig};
+use yycore::{run_parallel_supervised, RecoveryOpts, RunConfig};
 
 fn main() {
     let (mut pth, mut pph, mut steps) = (1usize, 2usize, 20u64);
@@ -32,8 +32,10 @@ fn main() {
         "# {} ranks: 2 panels (MPI_COMM_SPLIT) x {}x{} process grid (MPI_CART_CREATE)",
         nprocs, pth, pph
     );
-    let rep = run_parallel(&cfg, pth, pph, steps, (steps / 5).max(1), false);
-    let r = &rep.report;
+    let sample = (steps / 5).max(1);
+    let sup = run_parallel_supervised(&cfg, pth, pph, steps, sample, &RecoveryOpts::default())
+        .expect("parallel run completes");
+    let r = &sup.report;
     println!(
         "# {} steps to t = {:.4} in {:.2}s  ({:.1} MFLOPS aggregate)",
         r.steps,

@@ -308,8 +308,9 @@ YY_BENCH_STEP_GRID=small YY_BENCH_STEP_STEPS=3 YY_BENCH_STEP_REPS=1 \
 YY_BENCH_STEP_DELAY_US=500 \
 BENCH_STEP_JSON="$soak_dir/BENCH_step.json" \
   cargo bench -p yy-bench --bench step --offline >/dev/null
-for key in speedup_overlapped_vs_blocking hidden_comm_fraction median_ns_per_step \
-    kernel_bound retiles steps_per_sec_before_shrink steps_per_sec_after_shrink; do
+for key in hidden_comm_fraction median_ns_per_step kernel_bound \
+    overlapped_median_ns_per_step retiles steps_per_sec_before_shrink \
+    steps_per_sec_after_shrink; do
   grep -q "$key" "$soak_dir/BENCH_step.json" || {
     echo "ERROR: BENCH_step.json missing '$key'" >&2; exit 1; }
 done
@@ -317,13 +318,14 @@ echo "OK: BENCH_step.json written and well-formed"
 
 echo "==> step-rate regression gate: kernel-bound ns/point under tolerance"
 # Guards against hot-loop regressions of the per-call-allocation kind
-# (the r2 Vec bug this gate was written for): the kernel-bound blocking
-# step must stay under a generous per-point ceiling. The default
+# (the r2 Vec bug this gate was written for): the kernel-bound step
+# through the overlapped pipeline must stay under a generous per-point
+# ceiling. The default
 # tolerance (ns per grid point per step) leaves ~3x headroom over the
 # measured rate on the CI box, so host-contention noise passes but an
 # accidental deoptimization of the RHS sweep does not.
 gp=$(grep -o '"grid_points": [0-9]*' "$soak_dir/BENCH_step.json" | awk '{print $2}')
-kb=$(grep -o '"blocking_median_ns_per_step": [0-9.]*' "$soak_dir/BENCH_step.json" \
+kb=$(grep -o '"overlapped_median_ns_per_step": [0-9.]*' "$soak_dir/BENCH_step.json" \
   | awk '{print $2}')
 nspp=$(awk -v k="$kb" -v g="$gp" 'BEGIN { printf "%.1f", k / g }')
 step_tol=${YY_CI_STEP_TOL:-2500}

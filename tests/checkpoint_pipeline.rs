@@ -3,7 +3,7 @@
 //! serial trajectory and the parallel driver's trajectory.
 
 use yycore::checkpoint::Checkpoint;
-use yycore::{run_parallel, RunConfig, SerialSim};
+use yycore::{run_parallel_supervised, RecoveryOpts, RunConfig, SerialSim};
 
 fn cfg() -> RunConfig {
     let mut cfg = RunConfig::small();
@@ -55,8 +55,10 @@ fn checkpoint_trajectory_matches_parallel_run() {
     resumed.run(2, 0);
 
     // Parallel from scratch, same total steps.
-    let rep = run_parallel(&cfg, 2, 1, 4, 0, true);
-    let yin = rep.yin.expect("gathered");
+    let yin = run_parallel_supervised(&cfg, 2, 1, 4, 0, &RecoveryOpts::default())
+        .expect("parallel run completes")
+        .final_checkpoint
+        .yin;
     let (_, nth, nph) = resumed.grid.dims();
     for k in 0..nph as isize {
         for j in 0..nth as isize {

@@ -3,13 +3,18 @@
 //! configurations beyond what the crate-level tests exercise.
 
 use yy_mhd::MagneticBc;
-use yycore::{run_parallel, RunConfig, SerialSim};
+use yycore::{run_parallel_supervised, RecoveryOpts, RunConfig, SerialSim, SupervisedReport};
 
 fn cfg() -> RunConfig {
     let mut cfg = RunConfig::small();
     cfg.init.perturb_amplitude = 2e-2;
     cfg.init.seed_amplitude = 1e-4;
     cfg
+}
+
+fn run(cfg: &RunConfig, pth: usize, pph: usize, steps: u64, sample: u64) -> SupervisedReport {
+    run_parallel_supervised(cfg, pth, pph, steps, sample, &RecoveryOpts::default())
+        .expect("fault-free run completes")
 }
 
 /// Asymmetric decomposition (3 × 2 — six tiles per panel, twelve ranks)
@@ -23,9 +28,8 @@ fn asymmetric_decomposition_matches_serial_bitwise() {
     cfg.mag_bc = MagneticBc::ZeroGradient;
     let mut serial = SerialSim::new(cfg.clone());
     serial.run(4, 0);
-    let rep = run_parallel(&cfg, 3, 2, 4, 0, true);
-    let yin = rep.yin.expect("gathered yin");
-    let yang = rep.yang.expect("gathered yang");
+    let ck = run(&cfg, 3, 2, 4, 0).final_checkpoint;
+    let (yin, yang) = (ck.yin, ck.yang);
     let (_, nth, nph) = serial.grid.dims();
     for (ser, par) in [(&serial.yin, &yin), (&serial.yang, &yang)] {
         for (sa, pa) in ser.arrays().into_iter().zip(par.arrays()) {
@@ -46,8 +50,8 @@ fn asymmetric_decomposition_matches_serial_bitwise() {
 #[test]
 fn traffic_scales_with_decomposition() {
     let cfg = cfg();
-    let a = run_parallel(&cfg, 1, 2, 2, 0, false).report;
-    let b = run_parallel(&cfg, 2, 2, 2, 0, false).report;
+    let a = run(&cfg, 1, 2, 2, 0).report;
+    let b = run(&cfg, 2, 2, 2, 0).report;
     assert!(b.halo_bytes > a.halo_bytes, "more tiles → more halo traffic");
     // Overset volume is decomposition-independent up to the ghost-frame
     // duplicates along tile seams (a few percent).
@@ -64,8 +68,8 @@ fn traffic_scales_with_decomposition() {
 #[test]
 fn reduced_diagnostics_are_decomposition_invariant() {
     let cfg = cfg();
-    let a = run_parallel(&cfg, 1, 2, 3, 1, false).report;
-    let b = run_parallel(&cfg, 2, 3, 3, 1, false).report;
+    let a = run(&cfg, 1, 2, 3, 1).report;
+    let b = run(&cfg, 2, 3, 3, 1).report;
     assert_eq!(a.series.len(), b.series.len());
     for (pa, pb) in a.series.iter().zip(&b.series) {
         assert_eq!(pa.step, pb.step);
