@@ -63,7 +63,7 @@ use yy_mesh::{
 use yy_mhd::rhs::{compute_rhs_partial, InteriorRange, OverlapSplit, RhsScratch};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
-    apply_physical_bc, cfl_timestep, compute_rhs, initialize, timestep::rho_min_owned,
+    apply_physical_bc, cfl_timestep, initialize, timestep::rho_min_owned,
     wave_speed_max, Diagnostics, ForceTables, State,
 };
 use yy_obs::counters::{kernel, CounterSet, CounterSnapshot, KernelTally};
@@ -1277,9 +1277,10 @@ struct RankSolver<'a> {
     /// Per recv set (aligned with `exchange.recvs`): owned target slots.
     owned_slots: Vec<u64>,
     range: InteriorRange,
-    /// Deep-interior / boundary-shell partition of `range` (tentpole).
+    /// Deep-interior / boundary-shell partition of `range`.
     split: OverlapSplit,
-    /// The deep interior cut into φ slabs, one per in-flight exchange.
+    /// The deep interior cut into φ slabs, one per in-flight exchange; one
+    /// slab on halo-free tiles, where no drain sits between them.
     deep_chunks: Vec<InteriorRange>,
     /// No tile-halo neighbours in either dimension (one tile per panel):
     /// overset donor stencils then read only owned points, so the
@@ -1289,6 +1290,7 @@ struct RankSolver<'a> {
     halo_free: bool,
     cfg: RunConfig,
     y0: State,
+    /// Stage tendency; zero outside the interior from construction on.
     k: State,
     stage: State,
     /// Swap partner for `stage` during the fused sync⊗RHS, so the stage
@@ -1503,10 +1505,10 @@ impl<'a> RankSolver<'a> {
         let exchange = std::mem::take(&mut schedule[world.rank()]);
         let range = InteriorRange::for_tile(&grid, &tile);
         let split = range.split_overlap();
-        let deep_chunks =
-            split.deep.as_ref().map(|d| d.chunks_phi(3)).unwrap_or_default();
         let balanced = exchange.sends.len() == exchange.recvs.len();
         let halo_free = cart.neighbors4().iter().all(Option::is_none);
+        let deep_chunks =
+            split.deep.map(|d| d.chunks_phi(if halo_free { 1 } else { 3 })).unwrap_or_default();
 
         let shape = tile.shape(&grid);
         let mut state = State::zeros(shape);
@@ -1577,7 +1579,7 @@ impl<'a> RankSolver<'a> {
         clock.lap(self.world, SolverPhase::Boundary);
     }
 
-    /// The tentpole pipeline: the boundary synchronisation of `x` fused
+    /// The fused pipeline: the boundary synchronisation of `x` fused
     /// with the RHS sweep of `x` into `self.k`. Sends are posted, a deep
     /// interior chunk (whose stencils touch no ghost the in-flight
     /// message will fill) is computed while the messages travel, then the
@@ -1585,13 +1587,16 @@ impl<'a> RankSolver<'a> {
     /// swept last, when all ghosts, frames and walls are in place.
     ///
     /// Bitwise identical to `sync` followed by a full-range RHS: the
-    /// exchange only writes ghost/frame/wall points, deep-interior
-    /// stencils read none of them, and the deep ∪ shell boxes tile the
-    /// interior exactly with unchanged per-point arithmetic.
+    /// exchange only writes ghost/frame points, deep-interior stencils
+    /// read none of them, the walls they do read are column-local and
+    /// idempotent (applied up front and again after the drain), and the
+    /// deep ∪ shell boxes tile the interior exactly — so `self.k` is
+    /// overwritten everywhere it is nonzero and needs no zeroing.
     fn sync_rhs_overlapped(&mut self, x: &mut State) {
         let mut clock = PhaseClock::start();
-        self.k.fill_zero();
-        clock.lap(self.world, SolverPhase::Interior);
+        // The deep box spans whole radial columns, so it reads the walls.
+        apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
+        clock.lap(self.world, SolverPhase::Boundary);
         // With no halo neighbours the overset donors read only owned
         // points: post them first, so the exchange is in flight for the
         // entire deep interior.
@@ -1621,7 +1626,8 @@ impl<'a> RankSolver<'a> {
         self.rhs_deep_chunk(x, 2);
         clock.lap(self.world, SolverPhase::Interior);
         self.drain_overset(x, &mut clock);
-        // Everything the shell stencils read is now in place.
+        // Everything the shell stencils read is now in place once the
+        // ghost and frame columns get their walls.
         apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
         for b in 0..self.split.shell.len() {
             let shell_box = self.split.shell[b];
@@ -1645,7 +1651,7 @@ impl<'a> RankSolver<'a> {
     }
 
     /// RHS over the `idx`-th φ slab of the deep interior (no-op when the
-    /// tile is too thin to have that many deep chunks).
+    /// tile has fewer deep chunks).
     fn rhs_deep_chunk(&mut self, x: &State, idx: usize) {
         if let Some(chunk) = self.deep_chunks.get(idx).copied() {
             self.rhs_partial(x, &chunk);
@@ -1848,9 +1854,8 @@ impl<'a> RankSolver<'a> {
         let nodes = [0.5, 0.5, 1.0];
         let (owned, columns) = self.owned_extent(state);
         self.y0.copy_from(state);
-        self.stage.copy_from(state);
-        compute_rhs(
-            &self.stage,
+        compute_rhs_partial(
+            state,
             &self.metric,
             &self.forces,
             &self.cfg.params,

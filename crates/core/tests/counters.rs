@@ -99,13 +99,10 @@ fn per_kernel_totals_are_decomposition_invariant() {
                 kernel::name(id)
             );
             // Loop counts (and hence equivalent vector length) are a
-            // property of the sweep structure, which the overlapped
-            // pipeline legitimately changes for the RHS: the six-box
-            // shell decomposition chops the radial inner loop. Every
-            // other kernel keeps serial-identical loop structure.
-            if id != kernel::RHS {
-                assert_eq!(s.loops, p.loops, "{tag}: {} loops", kernel::name(id));
-            }
+            // property of the sweep structure. The overlap split divides
+            // a tile's columns but never cuts one, so the RHS keeps
+            // serial-identical loops like every other kernel.
+            assert_eq!(s.loops, p.loops, "{tag}: {} loops", kernel::name(id));
         }
     }
 

@@ -161,15 +161,17 @@ impl InteriorRange {
     /// communication/compute overlap.
     ///
     /// The deep interior is the sub-range whose 9-point horizontal stencil
-    /// and radial neighbours read **no** node a boundary synchronisation
-    /// can modify: halo ghosts, overset frame columns, or the radial wall
-    /// planes. Since the stencil radius is 1 (in i, j and k) and every
-    /// edge of an interior range abuts sync-written data — ghost bands at
-    /// tile edges, frame columns at panel edges, wall planes radially —
-    /// shrinking by one node on every side is both necessary and
-    /// sufficient. The boundary shell is the set-difference, decomposed
-    /// into up to six disjoint boxes (two radial slabs, two θ bands, two
-    /// φ bands) that together with the deep interior exactly tile `self`.
+    /// reads **no** column a boundary synchronisation can modify: halo
+    /// ghosts or overset frame columns. Since the stencil radius is 1 and
+    /// every θ/φ edge of an interior range abuts sync-written columns,
+    /// shrinking by one node on each θ/φ side is both necessary and
+    /// sufficient. Radially the deep box spans the whole range: the wall
+    /// planes its stencils read belong to the tile's own columns, and the
+    /// walls are column-local and idempotent, so the caller applies them
+    /// before the deep sweep. The boundary shell is the set-difference,
+    /// decomposed into up to four disjoint whole-column bands (two θ
+    /// bands, two φ bands) that together with the deep interior exactly
+    /// tile `self`.
     ///
     /// Degenerate (thin) ranges fall back to an empty deep interior with
     /// the whole range as a single shell box.
@@ -177,30 +179,20 @@ impl InteriorRange {
         if self.is_empty() {
             return OverlapSplit { deep: None, shell: Vec::new() };
         }
-        let (di, dj, dk) =
-            (self.i1 - self.i0, (self.j1 - self.j0) as usize, (self.k1 - self.k0) as usize);
-        if di < 2 || dj < 2 || dk < 2 {
-            // Too thin for the six-box decomposition to stay disjoint.
+        let (dj, dk) = ((self.j1 - self.j0) as usize, (self.k1 - self.k0) as usize);
+        if dj < 2 || dk < 2 {
+            // Too thin for the four-band decomposition to stay disjoint.
             return OverlapSplit { deep: None, shell: vec![*self] };
         }
-        let deep = InteriorRange {
-            i0: self.i0 + 1,
-            i1: self.i1 - 1,
-            j0: self.j0 + 1,
-            j1: self.j1 - 1,
-            k0: self.k0 + 1,
-            k1: self.k1 - 1,
-        };
+        let deep =
+            InteriorRange { j0: self.j0 + 1, j1: self.j1 - 1, k0: self.k0 + 1, k1: self.k1 - 1, ..*self };
         let shell = [
-            // Radial wall-adjacent slabs (full horizontal extent).
-            InteriorRange { i0: self.i0, i1: self.i0 + 1, ..*self },
-            InteriorRange { i0: self.i1 - 1, i1: self.i1, ..*self },
-            // θ bands at radially-deep levels.
-            InteriorRange { i0: deep.i0, i1: deep.i1, j1: self.j0 + 1, ..*self },
-            InteriorRange { i0: deep.i0, i1: deep.i1, j0: self.j1 - 1, ..*self },
-            // φ bands at radially-deep, θ-deep levels.
-            InteriorRange { i0: deep.i0, i1: deep.i1, j0: deep.j0, j1: deep.j1, k1: self.k0 + 1, ..*self },
-            InteriorRange { i0: deep.i0, i1: deep.i1, j0: deep.j0, j1: deep.j1, k0: self.k1 - 1, ..*self },
+            // θ bands (full φ extent).
+            InteriorRange { j1: self.j0 + 1, ..*self },
+            InteriorRange { j0: self.j1 - 1, ..*self },
+            // φ bands at θ-deep columns.
+            InteriorRange { j0: deep.j0, j1: deep.j1, k1: self.k0 + 1, ..*self },
+            InteriorRange { j0: deep.j0, j1: deep.j1, k0: self.k1 - 1, ..*self },
         ]
         .into_iter()
         .filter(|r| !r.is_empty())
@@ -251,7 +243,7 @@ impl InteriorRange {
 /// interior plus the boundary-shell boxes that complete the tiling.
 #[derive(Debug, Clone)]
 pub struct OverlapSplit {
-    /// Columns/levels whose stencils read nothing a boundary sync writes
+    /// Whole radial columns whose stencils read no ghost or frame column
     /// (`None` when the range is too thin to have any).
     pub deep: Option<InteriorRange>,
     /// Disjoint boxes covering the rest of the range.
@@ -273,13 +265,6 @@ impl OverlapSplit {
 /// column's θ/φ stencil neighbours — the working set minimiser, which
 /// is the right bias for the production shapes where blocking matters.
 pub const DEFAULT_PHI_BLOCK: usize = 2;
-
-/// Default radial-extent threshold below which `compute_rhs_partial`
-/// falls back from the fused sweep to the single-pass mega-loop: the
-/// fused kernel pays per-column setup for each of its
-/// [`RHS_PASSES_PER_COLUMN`] passes, which only amortizes over a few
-/// radial nodes (the overlapped driver's shell planes are 1–2 deep).
-pub const MIN_FUSED_RADIAL_EXTENT: usize = 8;
 
 /// Per-column radial scratch rows for the fused sweep: intermediate
 /// fields (B, the current j, ∇p) each pass stores for later passes of
@@ -333,11 +318,6 @@ pub struct RhsScratch {
     /// Same arithmetic per point bit-for-bit; exists so the exactness
     /// harness (and debugging) can diff the two implementations.
     pub use_reference: bool,
-    /// Ranges with radial extent below this run the reference mega-loop
-    /// even in fused mode (performance dispatch; see
-    /// [`compute_rhs_partial`]). `0` forces the fused sweep everywhere —
-    /// the exactness tests use that to keep tiny ranges covered.
-    pub min_fused_extent: usize,
 }
 
 impl RhsScratch {
@@ -350,7 +330,6 @@ impl RhsScratch {
             rows: RowBufs::new(shape.nr),
             phi_block: DEFAULT_PHI_BLOCK,
             use_reference: false,
-            min_fused_extent: MIN_FUSED_RADIAL_EXTENT,
         }
     }
 }
@@ -439,13 +418,15 @@ pub fn compute_rhs(
 
 /// Evaluate the RHS over `range` **without** zeroing `out` first — the
 /// building block for split (deep-interior / boundary-shell) sweeps that
-/// accumulate disjoint sub-ranges into one tendency state. The caller
-/// zeroes `out` once before the first partial sweep.
+/// assemble disjoint sub-ranges into one tendency state. Every node of
+/// `range` is overwritten and every other node is left untouched, so a
+/// caller whose sweeps tile the interior only needs `out` zeroed outside
+/// it once, at allocation.
 ///
 /// `state` only needs valid values on `range` expanded by the stencil
 /// radius (one node in every direction): the subsidiary `v = f/ρ`,
 /// `T = p/ρ` fields are recomputed over exactly that expansion, so a
-/// deep-interior sweep can run before ghost/frame/wall data arrives.
+/// deep-interior sweep can run before ghost/frame data arrives.
 /// The per-point arithmetic is identical to [`compute_rhs`], so summing
 /// partial sweeps over a disjoint tiling of a range is bit-identical to
 /// one full sweep over it.
@@ -466,11 +447,9 @@ pub fn compute_rhs_partial(
     let t0 = meter.timer();
     let shape = state.shape();
 
-    // v = f/ρ and T = p/ρ over the range plus the stencil radius — in
-    // every direction, radial included: a boundary-shell plane only
-    // divides the three radial nodes its stencils read, not the whole
-    // column (pointwise, so recomputing a node in overlapping partial
-    // sweeps yields bit-identical values).
+    // v = f/ρ and T = p/ρ over the range plus the stencil radius, in
+    // every direction (pointwise, so recomputing a node in overlapping
+    // partial sweeps yields bit-identical values).
     let (gth, gph) = (shape.gth as isize, shape.gph as isize);
     let j_lo = (range.j0 - 1).max(-gth);
     let j_hi = (range.j1 + 1).min(shape.nth as isize + gth);
@@ -504,12 +483,7 @@ pub fn compute_rhs_partial(
         }
     }
 
-    // The fused sweep amortizes its per-column pass setup (windowed
-    // column views, one loop per pass) over the radial extent; below a
-    // few nodes — the overlapped driver's radial shell planes — the
-    // single-pass mega-loop is cheaper. Both sweeps are bit-identical,
-    // so the dispatch is purely a performance choice.
-    if scratch.use_reference || range.i1 - range.i0 < scratch.min_fused_extent {
+    if scratch.use_reference {
         reference_sweep(state, metric, forces, params, range, scratch, out);
     } else {
         fused_sweep(state, metric, forces, params, range, scratch, out);
@@ -1201,7 +1175,8 @@ mod tests {
     }
 
     /// Exhaustively verify that `split_overlap` tiles a range: every node
-    /// covered exactly once, deep interior one node inside every face.
+    /// covered exactly once, deep interior one node inside every θ/φ face
+    /// and spanning whole radial columns.
     fn assert_exact_tiling(r: &InteriorRange) {
         let split = r.split_overlap();
         let mut seen = std::collections::HashSet::new();
@@ -1223,7 +1198,7 @@ mod tests {
         }
         assert_eq!(seen.len(), r.points(), "gap in the tiling of {r:?}");
         if let Some(d) = split.deep {
-            assert_eq!((d.i0, d.i1), (r.i0 + 1, r.i1 - 1), "deep must clear the wall planes");
+            assert_eq!((d.i0, d.i1), (r.i0, r.i1), "deep must span whole radial columns");
             assert_eq!((d.j0, d.j1), (r.j0 + 1, r.j1 - 1), "deep must clear the θ edges");
             assert_eq!((d.k0, d.k1), (r.k0 + 1, r.k1 - 1), "deep must clear the φ edges");
         }
@@ -1309,9 +1284,6 @@ mod tests {
             for phi_block in [0, 1, 2, 3, 5, DEFAULT_PHI_BLOCK, 64] {
                 let mut scratch = RhsScratch::new(shape);
                 scratch.phi_block = phi_block;
-                // Defeat the small-extent performance dispatch: the
-                // shell box must exercise the *fused* sweep here.
-                scratch.min_fused_extent = 0;
                 let mut fused = State::zeros(shape);
                 let mut meter = Meters::new();
                 compute_rhs(
@@ -1446,6 +1418,58 @@ mod tests {
         assert_eq!(meter_parts.flops(), meter_full.flops(), "split flop accounting must agree");
         for (a, b) in full.arrays().into_iter().zip(parts.arrays()) {
             assert_eq!(a.data(), b.data(), "split sweep must be bit-identical");
+        }
+    }
+
+    /// The deep chunks plus the shell bands overwrite every interior node
+    /// and touch nothing else — the invariant that lets a split-sweeping
+    /// caller zero its tendency state once instead of before every sweep.
+    #[test]
+    fn split_sweeps_overwrite_exactly_the_interior() {
+        let (grid, metric, forces, params) = setup(13);
+        let shape = grid.full_shape();
+        let mut state = State::zeros(shape);
+        initialize(
+            &mut state,
+            &grid,
+            None,
+            &params,
+            &InitOptions { perturb_amplitude: 1e-2, ..InitOptions::default() },
+            Panel::Yin,
+        );
+        let range = InteriorRange::full_panel(&grid);
+        let split = range.split_overlap();
+        let mut scratch = RhsScratch::new(shape);
+        let mut out = State::zeros(shape);
+        for arr in out.arrays_mut() {
+            arr.fill(f64::NAN);
+        }
+        let mut meter = Meters::new();
+        let deep_chunks = split.deep.map(|d| d.chunks_phi(3)).unwrap_or_default();
+        for sub in deep_chunks.iter().chain(&split.shell) {
+            compute_rhs_partial(
+                &state, &metric, &forces, &params, sub, &mut scratch, &mut out, &mut meter,
+            );
+        }
+        let inside = |i: usize, j: isize, k: isize| {
+            (range.i0..range.i1).contains(&i)
+                && (range.j0..range.j1).contains(&j)
+                && (range.k0..range.k1).contains(&k)
+        };
+        let (gth, gph) = (shape.gth as isize, shape.gph as isize);
+        for arr in out.arrays() {
+            for k in -gph..shape.nph as isize + gph {
+                for j in -gth..shape.nth as isize + gth {
+                    for i in 0..shape.nr {
+                        let v = arr.at(i, j, k);
+                        if inside(i, j, k) {
+                            assert!(!v.is_nan(), "interior node ({i},{j},{k}) not written");
+                        } else {
+                            assert!(v.is_nan(), "node ({i},{j},{k}) outside the interior written");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -45,6 +45,15 @@ soak="pth=1 pph=2 steps=6 sample=0 nr=12 nth=9"
 cmp "$soak_dir/clean.ck" "$soak_dir/fault.ck"
 echo "OK: recovered trajectory is bit-identical to the fault-free run"
 
+echo "==> halo-free smoke: 1x1 zero-gradient run must match serial byte for byte"
+# One tile per panel sweeps the whole-column deep box in one call, so the
+# zero-gradient wall a(0) = a(1) must be refreshed before that sweep.
+zg="steps=6 sample=0 nr=12 nth=9 mag_bc=zero_gradient"
+./target/release/yycore run $zg ckpt="$soak_dir/zg-serial.ck" >/dev/null 2>&1
+./target/release/yycore parallel pth=1 pph=1 $zg ckpt="$soak_dir/zg-1x1.ck" >/dev/null 2>&1
+cmp "$soak_dir/zg-serial.ck" "$soak_dir/zg-1x1.ck"
+echo "OK: 1x1 zero-gradient trajectory is byte-identical to serial"
+
 echo "==> chaos soak: permanent rank loss must re-tile 2x2 -> 1x2 and finish byte-identical"
 # Reference: an uninterrupted serial run writing the same trajectory.
 ./target/release/yycore run steps=8 sample=0 nr=12 nth=9 \

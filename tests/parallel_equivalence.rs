@@ -44,6 +44,24 @@ fn asymmetric_decomposition_matches_serial_bitwise() {
     }
 }
 
+/// One tile per panel (the halo-free path: overset posted before the
+/// first deep sweep, the deep box swept in one call) with zero-gradient
+/// magnetic walls — `a(0) = a(1)` must be refreshed on the stage state
+/// before the whole-column deep sweep reads it.
+#[test]
+fn single_tile_zero_gradient_matches_serial_bitwise() {
+    let mut cfg = cfg();
+    cfg.mag_bc = MagneticBc::ZeroGradient;
+    let mut serial = SerialSim::new(cfg.clone());
+    serial.run(4, 0);
+    let ck = run(&cfg, 1, 1, 4, 0).final_checkpoint;
+    for (ser, par) in [(&serial.yin, &ck.yin), (&serial.yang, &ck.yang)] {
+        for (sa, pa) in ser.arrays().into_iter().zip(par.arrays()) {
+            assert_eq!(sa.data(), pa.data(), "1x1 zero-gradient run diverges from serial");
+        }
+    }
+}
+
 /// The communication volume accounting is self-consistent: overset bytes
 /// are independent of the intra-panel decomposition (the frame is fixed),
 /// while halo bytes grow with the number of internal tile boundaries.
